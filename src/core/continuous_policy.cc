@@ -9,8 +9,11 @@ namespace rcloak::core {
 
 namespace {
 
-// Spill blob format version (bumped on any layout change).
-constexpr std::uint8_t kPolicyBlobVersion = 1;
+// Spill blob format version (bumped on any layout change). v1 stored every
+// validity duration as a double; v2 stores their RunningStats summary.
+// Both decode.
+constexpr std::uint8_t kPolicyBlobVersionV1 = 1;
+constexpr std::uint8_t kPolicyBlobVersion = 2;
 
 void PutDouble(Bytes& out, double v) {
   PutU64le(out, std::bit_cast<std::uint64_t>(v));
@@ -120,9 +123,13 @@ Bytes ContinuousPolicy::Serialize() const {
   PutVarint(out, stats_.recloaks);
   PutVarint(out, stats_.throttled_stale);
   PutDouble(out, stats_.last_recloak_time_s);
-  PutVarint(out, stats_.validity_duration_s.count());
-  for (const double sample : stats_.validity_duration_s.data()) {
-    PutDouble(out, sample);
+  const RunningStats& durations = stats_.validity_duration_s;
+  PutVarint(out, durations.count());
+  if (durations.count() > 0) {
+    PutDouble(out, durations.mean());
+    PutDouble(out, durations.m2());
+    PutDouble(out, durations.min());
+    PutDouble(out, durations.max());
   }
   return out;
 }
@@ -130,7 +137,8 @@ Bytes ContinuousPolicy::Serialize() const {
 StatusOr<ContinuousPolicy> ContinuousPolicy::Deserialize(
     const Bytes& data, const roadnet::RoadNetwork& net) {
   std::size_t offset = 0;
-  if (data.empty() || data[offset++] != kPolicyBlobVersion) {
+  const std::uint8_t version = data.empty() ? 0 : data[offset++];
+  if (version != kPolicyBlobVersion && version != kPolicyBlobVersionV1) {
     return Status::InvalidArgument("policy blob: bad magic/version");
   }
   ContinuousPolicy policy;
@@ -202,9 +210,9 @@ StatusOr<ContinuousPolicy> ContinuousPolicy::Deserialize(
   const auto recloaks = GetVarint(data, &offset);
   const auto throttled = GetVarint(data, &offset);
   const auto last_recloak_s = GetDouble(data, &offset);
-  const auto sample_count = GetVarint(data, &offset);
+  const auto duration_count = GetVarint(data, &offset);
   if (!created_s || !updates || !recloaks || !throttled || !last_recloak_s ||
-      !sample_count) {
+      !duration_count) {
     return Truncated();
   }
   policy.artifact_created_s_ = *created_s;
@@ -212,10 +220,21 @@ StatusOr<ContinuousPolicy> ContinuousPolicy::Deserialize(
   policy.stats_.recloaks = *recloaks;
   policy.stats_.throttled_stale = *throttled;
   policy.stats_.last_recloak_time_s = *last_recloak_s;
-  for (std::uint64_t i = 0; i < *sample_count; ++i) {
-    const auto sample = GetDouble(data, &offset);
-    if (!sample) return Truncated();
-    policy.stats_.validity_duration_s.Add(*sample);
+  if (version == kPolicyBlobVersionV1) {
+    // v1 kept every sample: fold them into the summary.
+    for (std::uint64_t i = 0; i < *duration_count; ++i) {
+      const auto sample = GetDouble(data, &offset);
+      if (!sample) return Truncated();
+      policy.stats_.validity_duration_s.Add(*sample);
+    }
+  } else if (*duration_count > 0) {
+    const auto mean = GetDouble(data, &offset);
+    const auto m2 = GetDouble(data, &offset);
+    const auto min = GetDouble(data, &offset);
+    const auto max = GetDouble(data, &offset);
+    if (!mean || !m2 || !min || !max) return Truncated();
+    policy.stats_.validity_duration_s = RunningStats::FromState(
+        static_cast<std::size_t>(*duration_count), *mean, *m2, *min, *max);
   }
   return policy;
 }
@@ -235,7 +254,6 @@ std::size_t ContinuousPolicy::MemoryFootprint() const noexcept {
     bytes += artifact_->region_segments.capacity() * sizeof(SegmentId);
   }
   if (validity_region_) bytes += validity_region_->memory_bytes();
-  bytes += stats_.validity_duration_s.count() * sizeof(double);
   return bytes;
 }
 

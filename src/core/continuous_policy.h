@@ -46,7 +46,9 @@ struct ContinuousStats {
   std::uint64_t recloaks = 0;
   std::uint64_t throttled_stale = 0;  // stale but within throttle window
   double last_recloak_time_s = 0.0;
-  Samples validity_duration_s;
+  // How long each replaced artifact stayed in force: a fixed-size summary,
+  // so a session (and its spill blob) does not grow with its re-cloaks.
+  RunningStats validity_duration_s;
 };
 
 // Compact validity region: the sorted segment-id set of the level region
@@ -158,7 +160,7 @@ class ContinuousPolicy {
   const ContinuousStats& stats() const noexcept { return stats_; }
 
   // Approximate heap footprint of the session state this policy retains —
-  // identity, profile, artifact in force, validity region, stats samples.
+  // identity, profile, artifact in force, validity region.
   // An estimate for the session pool's memory-budget accounting, not
   // malloc truth.
   std::size_t MemoryFootprint() const noexcept;

@@ -381,11 +381,11 @@ StatusOr<ErrorFrame> DecodeError(const Bytes& payload) {
 
 // ------------------------------------------------------------- reassembly
 
-Status FrameReassembler::ValidateHeader() {
-  // Walk every header already in the buffer (not just the front one) so a
+Status FrameReassembler::ValidateHeaders() {
+  // Walk every newly buffered header (not just the front one) so a
   // malformed frame poisons the stream the moment its 5 header bytes
   // arrive — even when complete valid frames are still queued ahead of it.
-  std::size_t cursor = consumed_;
+  std::size_t cursor = validated_;
   while (buffer_.size() - cursor >= kFrameHeaderBytes) {
     std::size_t offset = cursor;
     const auto length = GetU32le(buffer_, &offset);
@@ -405,6 +405,7 @@ Status FrameReassembler::ValidateHeader() {
     if (buffer_.size() - offset < *length) break;  // body still incomplete
     cursor = offset + *length;
   }
+  validated_ = cursor;
   return Status::Ok();
 }
 
@@ -414,31 +415,30 @@ Status FrameReassembler::Feed(const std::uint8_t* data, std::size_t n) {
   if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
+    validated_ -= consumed_;
     consumed_ = 0;
   }
   buffer_.insert(buffer_.end(), data, data + n);
   // Eager validation: a poisoned header is detected as soon as its 5 bytes
   // are in, before its (unbounded) declared body is ever accepted.
-  return ValidateHeader();
+  return ValidateHeaders();
 }
 
 std::optional<Frame> FrameReassembler::Next() {
   if (!status_.ok()) return std::nullopt;
-  if (buffer_.size() - consumed_ < kFrameHeaderBytes) return std::nullopt;
+  // Only frames Feed validated whole are handed out; bytes only arrive
+  // through Feed, so nothing past validated_ can be complete.
+  if (consumed_ >= validated_) return std::nullopt;
   std::size_t offset = consumed_;
   const auto length = GetU32le(buffer_, &offset);
   const std::uint8_t type = buffer_[offset];
   ++offset;
-  if (buffer_.size() - offset < *length) return std::nullopt;
   Frame frame;
   frame.type = static_cast<FrameType>(type);
   frame.payload.assign(
       buffer_.begin() + static_cast<std::ptrdiff_t>(offset),
       buffer_.begin() + static_cast<std::ptrdiff_t>(offset + *length));
   consumed_ = offset + *length;
-  // The next header (if buffered) gets validated now so a poisoned stream
-  // fails before the caller waits on more bytes.
-  (void)ValidateHeader();
   return frame;
 }
 

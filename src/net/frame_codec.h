@@ -210,13 +210,17 @@ class FrameReassembler {
   std::size_t max_payload() const noexcept { return max_payload_; }
 
  private:
-  // Validates the header at consumed_ (if enough bytes are in); poisons on
-  // a malformed one.
-  Status ValidateHeader();
+  // Validates every buffered header from validated_ on, advancing
+  // validated_; poisons the stream on a malformed one.
+  Status ValidateHeaders();
 
   std::size_t max_payload_;
   Bytes buffer_;
   std::size_t consumed_ = 0;
+  // Start of the first frame whose header and body are not both buffered:
+  // every header before it is validated, and consumed_ <= validated_. Each
+  // header is checked once, so draining n frames costs O(n).
+  std::size_t validated_ = 0;
   Status status_ = Status::Ok();
 };
 

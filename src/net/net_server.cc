@@ -628,16 +628,12 @@ std::shared_ptr<const Bytes> NetServer::EncodeShared(
     lp.encoded.erase(it);
   }
   auto wire = std::make_shared<const Bytes>(core::EncodeArtifact(*artifact));
-  // Opportunistic prune: drop entries whose artifacts are gone before the
-  // table can grow past the loop's live-artifact count.
-  if (lp.encoded.size() >= 4096) {
-    for (auto entry = lp.encoded.begin(); entry != lp.encoded.end();) {
-      if (entry->second.source.expired()) {
-        entry = lp.encoded.erase(entry);
-      } else {
-        ++entry;
-      }
-    }
+  if (lp.encoded.size() >= lp.encoded_prune_at) {
+    std::erase_if(lp.encoded, [](const auto& entry) {
+      return entry.second.source.expired();
+    });
+    lp.encoded_prune_at = std::max(
+        kEncodedPruneFloor, lp.encoded.size() + lp.encoded.size() / 8);
   }
   lp.encoded.emplace(key, EncodedEntry{artifact, wire});
   Bump(lp.stats.artifact_cache_misses);

@@ -225,6 +225,14 @@ class NetServer {
     std::weak_ptr<const core::CloakedArtifact> source;
     std::shared_ptr<const Bytes> wire;
   };
+  // The reply cache is swept for expired entries when it reaches
+  // max(kEncodedPruneFloor, kept + kept / 8), kept being what the last
+  // sweep left: a sweep follows at least 1/9 of its length in inserts, so
+  // pruning costs O(1) per miss at any fleet size, while expired entries
+  // (which still hold their encoded bytes) stay within an eighth of the
+  // live ones past the floor. A 2x slack would cost ~1 MiB of RSS at
+  // 4,000 users.
+  static constexpr std::size_t kEncodedPruneFloor = 4096;
 
   // One loop's statistics block. Every field is written only by the
   // owning loop thread; the relaxed atomics exist solely so stats() can
@@ -290,6 +298,8 @@ class NetServer {
     Stopwatch tick_timer;
     std::vector<std::uint64_t> tick_touched;
     std::unordered_map<const core::CloakedArtifact*, EncodedEntry> encoded;
+    // Size at which the next miss sweeps expired entries out of `encoded`.
+    std::size_t encoded_prune_at = kEncodedPruneFloor;
     // Per-loop reduce session: REDUCE_REQUEST runs inline on the loop
     // thread, so each loop carries its own context-sharing Deanonymizer.
     core::Deanonymizer deanonymizer;

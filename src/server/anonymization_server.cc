@@ -216,10 +216,9 @@ void AnonymizationServer::ExecuteJob(Job job, Shard& executing,
     auto result =
         engine_.Anonymize(job.work->request, job.work->keys,
                           executing.session);
-    const double elapsed = timer.ElapsedMillis();
+    executing.latency_ms.Add(timer.ElapsedMillis());
     {
       std::lock_guard<std::mutex> lock(executing.mutex);
-      executing.latency_ms.Add(elapsed);
       if (result.ok()) {
         ++executing.succeeded;
       } else {
@@ -359,7 +358,7 @@ void AnonymizationServer::Drain() {
 
 ServerStats AnonymizationServer::stats() const {
   ServerStats stats;
-  Samples all_latencies;
+  util::LatencyHistogram all_latencies;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     stats.accepted += shard->accepted;

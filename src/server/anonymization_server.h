@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "core/reversecloak.h"
-#include "util/stats.h"
+#include "util/histogram.h"
 
 namespace rcloak::server {
 
@@ -162,7 +162,7 @@ class AnonymizationServer {
     std::uint64_t failed = 0;
     std::uint64_t steals = 0;        // jobs THIS worker stole elsewhere
     std::uint64_t fanout_tasks = 0;  // fan-out lanes THIS worker ran
-    Samples latency_ms;
+    util::LatencyHistogram latency_ms;  // fixed-size, written lock-free
 
     // Worker-owned scratch, reused across the requests this shard's worker
     // executes (own jobs and steals); only the worker thread touches it.

@@ -502,10 +502,7 @@ ContinuousSessionPool::RestoreOutcome ContinuousSessionPool::RestoreFromSpill(
   if (from_queue) {
     restored_in_flight_.fetch_add(1, std::memory_order_relaxed);
   }
-  {
-    std::lock_guard<std::mutex> lock(latency_mutex_);
-    restore_latency_ms_.Add(timer.ElapsedMillis());
-  }
+  restore_latency_ms_.Add(timer.ElapsedMillis());
   return RestoreOutcome::kRestored;
 }
 
@@ -781,9 +778,10 @@ void ContinuousSessionPool::EnqueueSpill(util::UserId user, Bytes state) {
   auto [slot, inserted] = in_flight_.TryEmplace(user, InFlightSpill{});
   if (!inserted) {
     // A fresher spill supersedes the queued envelope; the older write is
-    // absorbed in memory (its deque entry dies by seq mismatch).
+    // absorbed in memory (its deque entry dies by seq mismatch) unless
+    // the writer is already appending it.
     queue_bytes_ -= std::min(queue_bytes_, slot->state.size());
-    ++async_absorbed_;
+    if (slot->writing_seq != slot->seq) ++async_absorbed_;
   }
   slot->state = std::move(state);
   slot->seq = seq;
@@ -812,7 +810,7 @@ void ContinuousSessionPool::InvalidateInFlight(util::UserId user) {
   InFlightSpill* slot = in_flight_.Find(user);
   if (slot == nullptr) return;
   queue_bytes_ -= std::min(queue_bytes_, slot->state.size());
-  ++async_absorbed_;
+  if (slot->writing_seq != slot->seq) ++async_absorbed_;
   in_flight_.Erase(user);
   queue_cv_.notify_all();  // a flush waiting on this entry can finish
 }
@@ -909,8 +907,9 @@ void ContinuousSessionPool::SpillWriterLoop() {
     batch.reserve(popped.size());
     valid.reserve(popped.size());
     for (const SpillQueueEntry& entry : popped) {
-      const InFlightSpill* slot = in_flight_.Find(entry.user);
+      InFlightSpill* slot = in_flight_.Find(entry.user);
       if (slot == nullptr || slot->seq != entry.seq) continue;
+      slot->writing_seq = entry.seq;
       batch.push_back({entry.user, slot->state});
       valid.push_back(entry);
     }
@@ -949,8 +948,16 @@ void ContinuousSessionPool::SpillWriterLoop() {
     } else {
       writer_status_ = status;
       // Requeue at the FRONT in original order: nothing is dropped, and
-      // FIFO (so last-write-wins) is preserved for the retry.
+      // FIFO (so last-write-wins) is preserved for the retry. Envelopes
+      // superseded or invalidated during the failed append were not
+      // counted as absorbed then; they are now, as they will never land.
       for (auto it = valid.rbegin(); it != valid.rend(); ++it) {
+        InFlightSpill* slot = in_flight_.Find(it->user);
+        if (slot != nullptr && slot->seq == it->seq) {
+          slot->writing_seq = 0;
+        } else {
+          ++async_absorbed_;
+        }
         spill_queue_.push_front(*it);
       }
       queue_cv_.notify_all();  // flush waiters observe writer_status_
@@ -1240,14 +1247,10 @@ ContinuousSessionPool::UpdateBatchImpl(
     }
     Stopwatch timer;
     RunRound(updates, round, results);
-    const double per_update_ms =
-        round.empty() ? 0.0 : timer.ElapsedMillis() /
-                                  static_cast<double>(round.size());
-    {
-      std::lock_guard<std::mutex> lock(latency_mutex_);
-      for (std::size_t i = 0; i < round.size(); ++i) {
-        update_latency_ms_.Add(per_update_ms);
-      }
+    if (!round.empty()) {
+      update_latency_ms_.Add(
+          timer.ElapsedMillis() / static_cast<double>(round.size()),
+          round.size());
     }
     remaining = std::move(deferred);
   }
@@ -1430,9 +1433,8 @@ SessionPoolStats ContinuousSessionPool::stats() const {
   }
   stats.restored_in_flight =
       restored_in_flight_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(latency_mutex_);
-  stats.update_latency_ms = update_latency_ms_;
-  stats.restore_latency_ms = restore_latency_ms_;
+  stats.update_latency_ms = update_latency_ms_.ToSamples();
+  stats.restore_latency_ms = restore_latency_ms_.ToSamples();
   return stats;
 }
 

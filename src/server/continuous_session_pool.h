@@ -46,6 +46,7 @@
 #include "core/continuous.h"
 #include "server/anonymization_server.h"
 #include "store/spill_file_set.h"
+#include "util/histogram.h"
 #include "util/interner.h"
 #include "util/stats.h"
 
@@ -135,8 +136,10 @@ struct SessionPoolStats {
   std::uint64_t retired_recloaks = 0;
   std::uint64_t retired_throttled_stale = 0;
   std::size_t active_sessions = 0;
-  // Wall time per update, batch-amortized (one sample per update, each
-  // carrying its round's mean).
+  // Wall time per update, batch-amortized (each update carries its
+  // round's mean): a bounded view of the pool's fixed-size histogram
+  // (update_latency_histogram()), at most
+  // util::LatencyHistogram::kDefaultViewPoints points.
   Samples update_latency_ms;
 
   // ---- cold tier ---------------------------------------------------------
@@ -155,7 +158,8 @@ struct SessionPoolStats {
   std::uint64_t spill_file_bytes = 0;
   std::uint64_t spill_dead_bytes = 0;
   std::size_t spill_live_records = 0;
-  // Wall time of each restore-on-miss (read + deserialize + re-insert).
+  // Wall time of each restore-on-miss (read + deserialize + re-insert),
+  // as a bounded view like update_latency_ms.
   Samples restore_latency_ms;
 
   // ---- async spill pipeline ----------------------------------------------
@@ -392,6 +396,11 @@ class ContinuousSessionPool {
   std::size_t session_count() const;
   // Aggregated over all shards (active_sessions filled at call time).
   SessionPoolStats stats() const;
+  // The live recorder behind stats().update_latency_ms: exact count and
+  // mean, fixed memory.
+  const util::LatencyHistogram& update_latency_histogram() const noexcept {
+    return update_latency_ms_;
+  }
 
   int num_shards() const noexcept { return static_cast<int>(shards_.size()); }
 
@@ -576,6 +585,10 @@ class ContinuousSessionPool {
   struct InFlightSpill {
     Bytes state;
     std::uint64_t seq = 0;
+    // The seq of the envelope the writer is appending right now (0 when
+    // none). Superseding or invalidating that envelope does not absorb
+    // it: the append lands and counts it as spilled.
+    std::uint64_t writing_seq = 0;
   };
 
   // All under queue_mutex_. Enqueue is called from the sweep callback
@@ -642,9 +655,10 @@ class ContinuousSessionPool {
   std::atomic<std::uint64_t> restored_in_flight_{0};
   std::thread spill_writer_;
 
-  mutable std::mutex latency_mutex_;
-  Samples update_latency_ms_;
-  Samples restore_latency_ms_;
+  // Fixed-size, relaxed-atomic recorders: no lock on the update path and
+  // no growth with traffic (stats() hands out bounded views).
+  util::LatencyHistogram update_latency_ms_;
+  util::LatencyHistogram restore_latency_ms_;
 };
 
 }  // namespace rcloak::server

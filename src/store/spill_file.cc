@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -19,12 +20,34 @@ constexpr std::uint64_t kRecordHeader = 4 + 8;  // payload_len + checksum
 // A length prefix beyond this is corruption, not a record: nothing after
 // it can be trusted.
 constexpr std::uint64_t kMaxRecordPayload = 1ull << 28;
-// Compaction streams records through a bounded buffer.
+// Compaction streams records through bounded buffers: the old file is
+// read in chunks of about this size and the new one written in batches of
+// it.
 constexpr std::size_t kCompactFlushBytes = 1 << 20;
 
+std::uint64_t HashPayload(const std::uint8_t* data, std::size_t size) {
+  return util::HashBytes(
+      std::string_view(reinterpret_cast<const char*>(data), size));
+}
 std::uint64_t HashPayload(const Bytes& payload) {
-  return util::HashBytes(std::string_view(
-      reinterpret_cast<const char*>(payload.data()), payload.size()));
+  return HashPayload(payload.data(), payload.size());
+}
+
+// Checks the record at `buffer[at]` (header and `payload_len` payload
+// bytes, all buffered): its length prefix must still match the index and
+// its payload its checksum.
+Status CheckRecord(const Bytes& buffer, std::size_t at,
+                   std::uint32_t payload_len) {
+  std::size_t cursor = at;
+  const std::uint32_t stored_len = *GetU32le(buffer, &cursor);
+  const std::uint64_t checksum = *GetU64le(buffer, &cursor);
+  if (stored_len != payload_len) {
+    return Status::DataLoss("spill record: length prefix rotted on disk");
+  }
+  if (HashPayload(buffer.data() + cursor, payload_len) != checksum) {
+    return Status::DataLoss("spill record: checksum mismatch");
+  }
+  return Status::Ok();
 }
 
 Status FullPWrite(int fd, const std::uint8_t* data, std::size_t size,
@@ -69,10 +92,11 @@ Bytes EncodeHeader(std::uint64_t map_fingerprint) {
   return header;
 }
 
-// payload = varint name_len | name | varint state_len | state
-bool ParsePayload(const Bytes& payload, std::string_view* name,
-                  std::size_t* state_offset) {
-  std::size_t offset = 0;
+// payload = varint name_len | name | varint state_len | state, from
+// `begin` to the end of `payload`.
+bool ParsePayload(const Bytes& payload, std::size_t begin,
+                  std::string_view* name, std::size_t* state_offset) {
+  std::size_t offset = begin;
   const auto name_len = GetVarint(payload, &offset);
   if (!name_len || *name_len == 0 || *name_len > payload.size() - offset) {
     return false;
@@ -172,7 +196,7 @@ Status SpillFile::ScanLocked() {
     std::string_view name;
     std::size_t state_offset = 0;
     if (HashPayload(payload) != checksum ||
-        !ParsePayload(payload, &name, &state_offset)) {
+        !ParsePayload(payload, 0, &name, &state_offset)) {
       // The length frame is intact but the payload rotted: skip this
       // record as dead and keep scanning at the next boundary.
       ++stats_.corrupt_records_skipped;
@@ -260,46 +284,26 @@ bool SpillFile::Contains(util::UserId user) const {
   return index_.Find(user) != nullptr;
 }
 
-Status SpillFile::ReadPayloadLocked(const Location& loc,
-                                    Bytes* payload) const {
-  std::uint8_t header[kRecordHeader];
-  if (FullPRead(fd_, header, kRecordHeader, loc.offset) <
-      static_cast<ssize_t>(kRecordHeader)) {
-    return Status::DataLoss("spill record: header unreadable");
-  }
-  Bytes header_bytes(header, header + kRecordHeader);
-  std::size_t cursor = 0;
-  const std::uint32_t payload_len = *GetU32le(header_bytes, &cursor);
-  const std::uint64_t checksum = *GetU64le(header_bytes, &cursor);
-  if (payload_len != loc.payload_len) {
-    return Status::DataLoss("spill record: length prefix rotted on disk");
-  }
-  payload->resize(payload_len);
-  if (FullPRead(fd_, payload->data(), payload_len,
-                loc.offset + kRecordHeader) <
-      static_cast<ssize_t>(payload_len)) {
-    return Status::DataLoss("spill record: payload unreadable");
-  }
-  if (HashPayload(*payload) != checksum) {
-    return Status::DataLoss("spill record: checksum mismatch");
-  }
-  return Status::Ok();
-}
-
 StatusOr<Bytes> SpillFile::ReadRecord(util::UserId user) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const Location* loc = index_.Find(user);
   if (loc == nullptr) return Status::NotFound("no spilled record for user");
-  Bytes payload;
-  RCLOAK_RETURN_IF_ERROR(ReadPayloadLocked(*loc, &payload));
+  // Header and payload in one read: the index already knows the length.
+  Bytes record(kRecordHeader + loc->payload_len);
+  if (FullPRead(fd_, record.data(), record.size(), loc->offset) <
+      static_cast<ssize_t>(record.size())) {
+    return Status::DataLoss("spill record: unreadable");
+  }
+  RCLOAK_RETURN_IF_ERROR(CheckRecord(record, 0, loc->payload_len));
   std::string_view name;
   std::size_t state_offset = 0;
-  if (!ParsePayload(payload, &name, &state_offset)) {
+  if (!ParsePayload(record, kRecordHeader, &name, &state_offset)) {
     return Status::DataLoss("spill record: malformed payload");
   }
   ++stats_.reads;
-  return Bytes(payload.begin() + static_cast<std::ptrdiff_t>(state_offset),
-               payload.end());
+  record.erase(record.begin(),
+               record.begin() + static_cast<std::ptrdiff_t>(state_offset));
+  return record;
 }
 
 bool SpillFile::Erase(util::UserId user) {
@@ -330,17 +334,23 @@ Status SpillFile::Compact() {
   Status status = FullPWrite(out, header.data(), header.size(), 0);
   if (!status.ok()) return fail(std::move(status));
 
-  // Snapshot the live set first: the rewrite loop updates a fresh index.
+  // Snapshot the live set in file order: the old file is then read front
+  // to back in bounded chunks, each record checked once and copied
+  // verbatim, and the rewrite loop fills a fresh index.
   std::vector<std::pair<util::UserId, Location>> live;
   live.reserve(index_.size());
   index_.ForEach([&](util::UserId user, Location& loc) {
     live.emplace_back(user, loc);
   });
+  std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
+    return a.second.offset < b.second.offset;
+  });
 
   util::IdMap<Location> new_index;
+  Bytes chunk;  // old-file bytes from chunk_start on
+  std::uint64_t chunk_start = 0;
   Bytes buffer;
   std::uint64_t out_offset = kHeaderSize;
-  std::size_t live_records = 0;
   auto flush = [&]() -> Status {
     if (buffer.empty()) return Status::Ok();
     RCLOAK_RETURN_IF_ERROR(
@@ -350,21 +360,32 @@ Status SpillFile::Compact() {
     return Status::Ok();
   };
   for (const auto& [user, loc] : live) {
-    Bytes payload;
-    status = ReadPayloadLocked(loc, &payload);
-    if (!status.ok()) {
+    const std::uint64_t record_size = kRecordHeader + loc.payload_len;
+    if (loc.offset + record_size > chunk_start + chunk.size()) {
+      // Refill from this record on: a chunk's worth (short at EOF), or
+      // the whole record when it is larger than a chunk.
+      const std::uint64_t to_eof =
+          append_offset_ > loc.offset ? append_offset_ - loc.offset : 0;
+      chunk.resize(static_cast<std::size_t>(std::max<std::uint64_t>(
+          record_size, std::min<std::uint64_t>(kCompactFlushBytes, to_eof))));
+      const ssize_t got =
+          FullPRead(fd_, chunk.data(), chunk.size(), loc.offset);
+      chunk.resize(got < 0 ? 0 : static_cast<std::size_t>(got));
+      chunk_start = loc.offset;
+    }
+    const std::size_t at = static_cast<std::size_t>(loc.offset - chunk_start);
+    if (loc.offset + record_size > chunk_start + chunk.size() ||
+        !CheckRecord(chunk, at, loc.payload_len).ok()) {
       // A record that rotted since it was written is dropped here; the
       // user's session is lost to the cold tier, counted, not fatal.
       ++stats_.corrupt_records_skipped;
       continue;
     }
-    const Location new_loc{out_offset + buffer.size(),
-                           static_cast<std::uint32_t>(payload.size())};
-    PutU32le(buffer, static_cast<std::uint32_t>(payload.size()));
-    PutU64le(buffer, HashPayload(payload));
-    buffer.insert(buffer.end(), payload.begin(), payload.end());
-    new_index.TryEmplace(user, new_loc);
-    ++live_records;
+    new_index.TryEmplace(
+        user, Location{out_offset + buffer.size(), loc.payload_len});
+    const auto record = chunk.begin() + static_cast<std::ptrdiff_t>(at);
+    buffer.insert(buffer.end(), record,
+                  record + static_cast<std::ptrdiff_t>(record_size));
     if (buffer.size() >= kCompactFlushBytes) {
       status = flush();
       if (!status.ok()) return fail(std::move(status));
@@ -387,7 +408,6 @@ Status SpillFile::Compact() {
   stats_.file_bytes = out_offset;
   stats_.dead_bytes = 0;
   ++stats_.compactions;
-  (void)live_records;
   return Status::Ok();
 }
 

@@ -20,7 +20,10 @@
 //     and continues at the next boundary.
 // Compact() rewrites live records into a temp file and atomically renames
 // it over the old one, dropping dead bytes; the session pool uses this as
-// the retirement point for interner generations.
+// the retirement point for interner generations. It reads the old file
+// once, front to back in bounded chunks (live records in offset order),
+// verifies each record's checksum once and copies header and payload
+// verbatim, so the compacted file keeps the records' relative order.
 //
 // Thread safety: internally synchronized (one mutex); safe to call from
 // concurrent shard sweeps and restore-on-miss reads.
@@ -113,7 +116,6 @@ class SpillFile {
   // Scans records from `scan_start` to EOF, applying the tail/corruption
   // rules above; truncates the file to the last trustworthy boundary.
   Status ScanLocked();
-  Status ReadPayloadLocked(const Location& loc, Bytes* payload) const;
 
   const std::string path_;
   const std::uint64_t map_fingerprint_;

@@ -34,6 +34,22 @@ class RunningStats {
   double max() const noexcept {
     return n_ ? max_ : std::numeric_limits<double>::quiet_NaN();
   }
+  // Sum of squared deviations from the mean (the Welford accumulator).
+  double m2() const noexcept { return m2_; }
+
+  // Rebuilds an accumulator from count(), mean(), m2(), min() and max() —
+  // the round trip a serialized summary needs.
+  static RunningStats FromState(std::size_t n, double mean, double m2,
+                                double min, double max) noexcept {
+    RunningStats stats;
+    if (n == 0) return stats;
+    stats.n_ = n;
+    stats.mean_ = mean;
+    stats.m2_ = m2;
+    stats.min_ = min;
+    stats.max_ = max;
+    return stats;
+  }
 
   void Merge(const RunningStats& other) noexcept {
     if (other.n_ == 0) return;

@@ -222,6 +222,54 @@ TEST(FrameCodecTest, OversizedFrameRejectedBeforeBuffering) {
   EXPECT_LE(reassembler.buffered_bytes(), net::kFrameHeaderBytes);
 }
 
+// Draining is linear: each header is validated once, by the Feed that
+// completes it, and the validated-up-to cursor survives Feed's compaction
+// of the consumed prefix. Poison behind a long queue still fails at Feed.
+TEST(FrameCodecTest, TenThousandFramesDrainInOrderThenPoisonFailsAtFeed) {
+  constexpr std::uint32_t kFrames = 10000;
+  Bytes wire;
+  for (std::uint32_t seq = 0; seq < kFrames; ++seq) {
+    net::AppendPositionUpdate(wire, seq, "car" + std::to_string(seq % 97),
+                              static_cast<double>(seq), SegmentId{seq % 500});
+  }
+  // One frame split across the two feeds, header first.
+  Bytes split;
+  net::AppendPositionUpdate(split, kFrames, "tail", 1.0, SegmentId{1});
+
+  FrameReassembler reassembler;
+  Bytes first = wire;
+  first.insert(first.end(), split.begin(), split.begin() + 3);
+  ASSERT_TRUE(reassembler.Feed(first.data(), first.size()).ok());
+  std::uint32_t next_seq = 0;
+  auto drain = [&](std::uint32_t limit) {
+    while (next_seq < limit) {
+      auto frame = reassembler.Next();
+      if (!frame) break;
+      const auto update = net::DecodePositionUpdate(frame->payload);
+      ASSERT_TRUE(update.ok());
+      ASSERT_EQ(update->seq, next_seq);
+      ++next_seq;
+    }
+  };
+  drain(kFrames / 2);
+  ASSERT_EQ(next_seq, kFrames / 2);
+  // More than half consumed: this Feed compacts the buffer first.
+  ASSERT_TRUE(reassembler.Feed(split.data() + 3, split.size() - 3).ok());
+  drain(kFrames + 1);
+  EXPECT_EQ(next_seq, kFrames + 1);
+  EXPECT_FALSE(reassembler.Next().has_value());
+  EXPECT_EQ(reassembler.buffered_bytes(), 0u);
+
+  // 10k more frames queued undrained, then a malformed header behind them:
+  // that Feed fails, and nothing more is served.
+  const Bytes garbage = {0x02, 0x00, 0x00, 0x00, 0xEE, 0xAA, 0xBB};
+  ASSERT_TRUE(reassembler.Feed(wire.data(), wire.size()).ok());
+  ASSERT_TRUE(reassembler.Next().has_value());
+  EXPECT_EQ(reassembler.Feed(garbage.data(), garbage.size()).code(),
+            ErrorCode::kDataLoss);
+  EXPECT_FALSE(reassembler.Next().has_value());
+}
+
 TEST(FrameCodecTest, TruncatedPayloadsRejected) {
   Bytes wire;
   net::AppendPositionUpdate(wire, 3, "carol", 9.0, SegmentId{4});

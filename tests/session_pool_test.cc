@@ -5,6 +5,7 @@
 // cases and a concurrency smoke the TSAN CI job runs race-clean.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -653,6 +654,147 @@ TEST(SessionPoolTest, RestoreRejectsCorruptBlobAndDoubleTrack) {
   EXPECT_EQ(pool.Restore(*spilled, KeysFor(5)).status().code(),
             ErrorCode::kFailedPrecondition);
   EXPECT_EQ(pool.session_count(), 1u);
+}
+
+// A session's policy blob and its budget-counted footprint must not grow
+// with its re-cloaks: validity durations are a fixed-size summary. The
+// checkpoints 200 and 1,000 both sit in the 2-byte range of the blob's
+// varint counters (epoch, re-cloaks, duration count), so the sizes match
+// exactly; one stored double per re-cloak would add 6,400 bytes.
+TEST(SessionPoolTest, PolicyBlobSizeIndependentOfRecloakCount) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  AnonymizationServer server(std::move(engine), {});
+  ContinuousSessionPool pool(server);
+  ASSERT_TRUE(pool.Track("rex", FleetProfile(), Algorithm::kRge, KeysFor(9),
+                         FleetOptions())
+                  .ok());
+  const auto artifact = pool.Update("rex", 0.0, SegmentId{42});
+  ASSERT_TRUE(artifact.ok());
+  const auto shared = std::make_shared<const core::CloakedArtifact>(*artifact);
+  const auto region =
+      core::CloakRegion::FromSegments(net, artifact->region_segments);
+
+  core::ContinuousPolicy policy("rex", FleetProfile(), Algorithm::kRge,
+                                FleetOptions());
+  std::map<int, std::pair<std::size_t, std::size_t>> sizes;
+  for (int recloaks = 1; recloaks <= 1000; ++recloaks) {
+    policy.CommitRecloak(1.5 * recloaks, shared, region);
+    if (recloaks == 200 || recloaks == 1000) {
+      sizes[recloaks] = {policy.Serialize().size(), policy.MemoryFootprint()};
+    }
+  }
+  EXPECT_EQ(sizes[200], sizes[1000]);
+  EXPECT_EQ(policy.stats().validity_duration_s.count(), 999u);
+  EXPECT_DOUBLE_EQ(policy.stats().validity_duration_s.mean(), 1.5);
+}
+
+// Policy blob v1 stored every validity duration; v2 stores the summary.
+// A v2 blob round-trips the summary exactly, and a v1 blob still restores,
+// its samples folded into the summary (same count and mean).
+TEST(SessionPoolTest, V1PolicyBlobFoldsDurationSamplesOnRestore) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  AnonymizationServer server(std::move(engine), {});
+  ContinuousSessionPool pool(server);
+  ASSERT_TRUE(pool.Track("vic", FleetProfile(), Algorithm::kRge,
+                         KeysFor(11), FleetOptions())
+                  .ok());
+  ASSERT_TRUE(pool.Update("vic", 0.0, SegmentId{7}).ok());
+  ASSERT_TRUE(pool.Update("vic", 5.0, SegmentId{93}).ok());
+  ASSERT_TRUE(pool.Update("vic", 12.0, SegmentId{50}).ok());
+  const auto before = pool.UserStats("vic");
+  ASSERT_TRUE(before.ok());
+  const auto& durations = before->validity_duration_s;
+  ASSERT_GE(durations.count(), 1u);
+  ASSERT_LT(durations.count(), 128u);  // a 1-byte varint below
+  const std::uint64_t epoch = *pool.UserEpoch("vic");
+
+  const auto spilled = pool.Spill("vic");
+  ASSERT_TRUE(spilled.ok());
+  // Envelope v3: u8 version | u64 fingerprint | u8 algorithm | u64 owner |
+  // varint blob size | policy blob | envelope tail.
+  constexpr std::size_t kEnvelopeHead = 1 + 8 + 1 + 8;
+  const Bytes& envelope = spilled->state;
+  std::size_t offset = kEnvelopeHead;
+  const auto blob_size = GetVarint(envelope, &offset);
+  ASSERT_TRUE(blob_size.has_value());
+  const auto blob_begin = envelope.begin() + static_cast<long>(offset);
+  const auto blob_end = blob_begin + static_cast<long>(*blob_size);
+  ASSERT_EQ(*blob_begin, 2u);  // policy blob v2
+  // v2 ends with: varint count | mean | m2 | min | max.
+  Bytes v1(blob_begin, blob_end - (1 + 4 * 8));
+  v1[0] = 1;
+  const std::vector<double> samples = {2.0, 4.0, 9.0};
+  PutVarint(v1, samples.size());
+  for (const double sample : samples) {
+    PutU64le(v1, std::bit_cast<std::uint64_t>(sample));
+  }
+  ContinuousSessionPool::SpilledSession v1_session{
+      "vic", Bytes(envelope.begin(), envelope.begin() + kEnvelopeHead)};
+  PutVarint(v1_session.state, v1.size());
+  v1_session.state.insert(v1_session.state.end(), v1.begin(), v1.end());
+  v1_session.state.insert(v1_session.state.end(), blob_end, envelope.end());
+
+  ASSERT_TRUE(pool.Restore(*spilled, KeysFor(11)).ok());
+  const auto round_trip = pool.UserStats("vic");
+  ASSERT_TRUE(round_trip.ok());
+  EXPECT_EQ(round_trip->validity_duration_s.count(), durations.count());
+  EXPECT_EQ(round_trip->validity_duration_s.mean(), durations.mean());
+  EXPECT_EQ(round_trip->validity_duration_s.variance(), durations.variance());
+  EXPECT_EQ(round_trip->validity_duration_s.min(), durations.min());
+  EXPECT_EQ(round_trip->validity_duration_s.max(), durations.max());
+
+  ASSERT_TRUE(pool.Spill("vic").ok());
+  ASSERT_TRUE(pool.Restore(v1_session, KeysFor(11)).ok());
+  const auto folded = pool.UserStats("vic");
+  ASSERT_TRUE(folded.ok());
+  EXPECT_EQ(folded->validity_duration_s.count(), samples.size());
+  EXPECT_DOUBLE_EQ(folded->validity_duration_s.mean(), 5.0);
+  EXPECT_EQ(folded->validity_duration_s.min(), 2.0);
+  EXPECT_EQ(folded->validity_duration_s.max(), 9.0);
+  EXPECT_EQ(folded->recloaks, before->recloaks);
+  EXPECT_EQ(*pool.UserEpoch("vic"), epoch);
+}
+
+// The pool's latency recorders are fixed-size: 100k updates later the
+// histogram has counted every one, and stats() hands out a bounded view.
+TEST(SessionPoolTest, LatencyRecordersStayBoundedOverLongRuns) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  AnonymizationServer server(std::move(engine), {});
+  ContinuousSessionPool pool(server);
+  constexpr std::uint32_t kUsers = 100;
+  constexpr int kTicks = 1000;
+  std::vector<util::UserId> ids;
+  for (std::uint32_t u = 0; u < kUsers; ++u) {
+    const auto id = pool.Track("u" + std::to_string(u), FleetProfile(),
+                               Algorithm::kRge, KeysFor(100 + u),
+                               FleetOptions());
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  std::vector<ContinuousSessionPool::IdPositionUpdate> batch(kUsers);
+  for (int tick = 0; tick < kTicks; ++tick) {
+    for (std::uint32_t u = 0; u < kUsers; ++u) {
+      batch[u] = {ids[u], static_cast<double>(tick),
+                  SegmentId{u % static_cast<std::uint32_t>(
+                                    net.segment_count())}};
+    }
+    for (const auto& result : pool.UpdateBatch(batch)) {
+      ASSERT_TRUE(result.ok());
+    }
+  }
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.updates, std::uint64_t{kUsers} * kTicks);
+  EXPECT_EQ(pool.update_latency_histogram().count(), stats.updates);
+  EXPECT_EQ(stats.update_latency_ms.count(),
+            util::LatencyHistogram::kDefaultViewPoints);
+  EXPECT_GT(stats.update_latency_ms.Percentile(99), 0.0);
+  EXPECT_TRUE(stats.restore_latency_ms.empty());
 }
 
 // Pins the incremental per-shard occupancy deltas (PR 6) to the original

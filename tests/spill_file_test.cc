@@ -284,6 +284,82 @@ TEST(SpillFileTest, CompactDropsDeadBytesAndSurvivesReattach) {
   std::remove(path.c_str());
 }
 
+// Compaction reads the old file front to back in bounded chunks and copies
+// each verified record verbatim. A live record that rotted mid-file is
+// skipped and counted; every other record — across chunk refills, dead
+// gaps and one record larger than a chunk — reads back byte-identical,
+// before and after reattach.
+TEST(SpillFileTest, CompactionSkipsRottedLiveRecordAndKeepsTheRest) {
+  const std::string path = TempPath("compact_rot");
+  StringInterner interner;
+  auto file = SpillFile::Attach(path, kFingerprint, interner);
+  ASSERT_TRUE(file.ok());
+  constexpr int kUsers = 40;
+  constexpr int kRotten = 17;
+  std::vector<UserId> users;
+  std::vector<Bytes> states(kUsers);
+  for (int i = 0; i < kUsers; ++i) {
+    users.push_back(interner.Intern("user" + std::to_string(i)));
+  }
+  auto state_of = [](int user, int round) {
+    // ~100 KB states (one of them 1.5 MB) spread the live set over many
+    // 1 MiB compaction chunks.
+    const std::size_t size = user == 30 ? (3u << 19) : 100000u + user;
+    Bytes state(size);
+    for (std::size_t b = 0; b < size; ++b) {
+      state[b] = static_cast<std::uint8_t>(b * 31 + user * 7 + round);
+    }
+    return state;
+  };
+  std::uint64_t rotten_offset = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < kUsers; ++i) {
+      // Round 1 rewrites every third user: dead gaps between live records.
+      if (round == 1 && i % 3 != 0) continue;
+      if (i == kRotten && round == 0) {
+        rotten_offset = (*file)->stats().file_bytes;
+      }
+      states[i] = state_of(i, round);
+      ASSERT_TRUE((*file)->AppendBatch({{users[i], states[i]}}).ok());
+    }
+  }
+  // kRotten (not a multiple of 3) is live from round 0, mid-file.
+  ASSERT_NE(kRotten % 3, 0);
+  Bytes raw = ReadAll(path);
+  raw[rotten_offset + kRecordHeader + 500] ^= 0x5A;
+  WriteAll(path, raw);
+
+  ASSERT_TRUE((*file)->Compact().ok());
+  const auto after = (*file)->stats();
+  EXPECT_EQ(after.corrupt_records_skipped, 1u);
+  EXPECT_EQ(after.live_records, static_cast<std::size_t>(kUsers - 1));
+  EXPECT_EQ(after.dead_bytes, 0u);
+  auto check_all = [&](SpillFile& spill, const StringInterner& names) {
+    for (int i = 0; i < kUsers; ++i) {
+      const UserId id = names.Find("user" + std::to_string(i));
+      if (i == kRotten) {
+        EXPECT_FALSE(id.valid() && spill.Contains(id));
+        continue;
+      }
+      ASSERT_TRUE(id.valid()) << i;
+      const auto read = spill.ReadRecord(id);
+      ASSERT_TRUE(read.ok()) << i << ": " << read.status().ToString();
+      EXPECT_EQ(*read, states[i]) << i;
+    }
+  };
+  check_all(**file, interner);
+  file->reset();
+
+  StringInterner fresh;
+  auto reopened = SpillFile::Attach(path, kFingerprint, fresh);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->stats().live_records,
+            static_cast<std::size_t>(kUsers - 1));
+  EXPECT_EQ((*reopened)->stats().corrupt_records_skipped, 0u);
+  check_all(**reopened, fresh);
+  std::remove(path.c_str());
+}
+
 // TSAN smoke: appends, reads, erases and stats racing periodic
 // compactions through the file's internal mutex.
 TEST(SpillFileTest, CompactionUnderConcurrentUpdates) {
